@@ -72,7 +72,7 @@ def pdx_bond_search(
 
 
 def build_exact_collection(
-    data: np.ndarray, *, block_size: int | None = None
+    data: np.ndarray, ids: np.ndarray | None = None, *, block_size: int | None = None
 ) -> PDXCollection:
     """PDX collection for exact search: equally sized horizontal
     partitions of at most 10 k vectors (paper §6.5).
@@ -80,8 +80,9 @@ def build_exact_collection(
     The default scales with the collection so the first block — scanned
     fully by PDXearch's START phase to seed the threshold — stays "a
     small percentage of all data" (§4) even at reproduction scale: the
-    paper's fixed 10 k is ~1 % of its 1M-vector collections.
+    paper's fixed 10 k is ~1 % of its 1M-vector collections. ``ids``
+    default to positions in ``data``, as in :func:`build_pdx`.
     """
     if block_size is None:
         block_size = int(np.clip(len(data) // 16, 64, 10_000))
-    return build_pdx(data, block_size=block_size)
+    return build_pdx(data, ids, block_size=block_size)

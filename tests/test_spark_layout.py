@@ -1,4 +1,6 @@
 """Spark-side PDX block construction (applyInPandas group transform)."""
+import warnings
+
 import numpy as np
 import pytest
 
@@ -26,6 +28,20 @@ def test_block_count_and_sizes(ds, blocks_pdf):
     sizes = blocks_pdf.sort_values("block_id")["n"].tolist()
     assert sizes[:-1] == [64] * (want_blocks - 1)
     assert sum(sizes) == n
+
+
+def test_block_table_is_parallel(spark, ds):
+    df = vecdata.to_spark(spark, ds.data)
+    blocks = vectors_to_blocks(df, block_size=64)
+    nblocks = (ds.n + 63) // 64
+    assert blocks.rdd.getNumPartitions() == min(spark.sparkContext.defaultParallelism, nblocks)
+
+
+def test_vectors_to_blocks_does_not_warn(spark, ds):
+    df = vecdata.to_spark(spark, ds.data[:100])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", UserWarning)
+        assert vectors_to_blocks(df, block_size=64).count() == 2
 
 
 def test_blocks_match_local_build(ds, blocks_pdf):

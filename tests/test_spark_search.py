@@ -78,14 +78,20 @@ def test_knn_ads_recall_on_spark(spark, ds):
 
 def test_knn_exact_across_partitionings(spark, ds):
     """Partition count must not change the exact result (per-partition
-    thresholds prune only partition-local losers)."""
+    thresholds prune only partition-local losers), also when k exceeds
+    every partition's vector count or the whole collection."""
     df = vecdata.to_spark(spark, ds.data)
-    gt_ids, gt_d = vecdata.ground_truth(ds.data, ds.queries[:2], K)
-    for parts in (1, 7):
-        blocks = vectors_to_blocks(df, block_size=64).repartition(parts)
-        out = knn(blocks, ds.queries[:2], K, PDXBond(ds.dim)).toPandas()
+    nblocks = (ds.n + 63) // 64
+    cases = [(1, K), (7, K), (nblocks, 100), (None, ds.n + 10)]  # None: as built
+    for parts, k in cases:
+        gt_ids, gt_d = vecdata.ground_truth(ds.data, ds.queries[:2], k)
+        blocks = vectors_to_blocks(df, block_size=64)
+        if parts is not None:
+            blocks = blocks.repartition(parts)
+        out = knn(blocks, ds.queries[:2], k, PDXBond(ds.dim)).toPandas()
         for qi in range(2):
             rows = out[out["qid"] == qi].sort_values(["dist", "id"])
+            assert len(rows) == min(k, ds.n)
             assert_same_topk(
                 rows["id"].to_numpy(), rows["dist"].to_numpy(), gt_ids[qi], gt_d[qi]
             )
@@ -95,3 +101,27 @@ def test_knn_single_query_1d_input(ds, blocks):
     out = knn(blocks, ds.queries[0], 5).toPandas()
     assert len(out) == 5
     assert (out["qid"] == 0).all()
+
+
+def test_knn_no_queries(ds, blocks):
+    assert len(knn(blocks, ds.queries[:0], K, PDXBond(ds.dim)).toPandas()) == 0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_knn_rejects_non_finite_query(ds, blocks, bad):
+    q = ds.queries[0].copy()
+    q[3] = bad
+    with pytest.raises(ValueError, match="finite"):
+        knn(blocks, q, K, PDXBond(ds.dim))
+    with pytest.raises(ValueError, match="finite"):
+        knn(blocks, q, K)
+
+
+@pytest.mark.filterwarnings("ignore:toPandas attempted Arrow optimization")
+def test_knn_rejects_wrong_query_dimension(ds, blocks):
+    q = ds.queries[0][:3]
+    with pytest.raises(ValueError, match=f"query dimension 3 .*dimension {ds.dim}"):
+        knn(blocks, q, K, PDXBond(ds.dim))
+    # Without a pruner the table's dimension is known only on the executors.
+    with pytest.raises(Exception, match=f"ValueError: query dimension 3 .*dimension {ds.dim}"):
+        knn(blocks, q, K).toPandas()
