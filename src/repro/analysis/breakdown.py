@@ -39,9 +39,11 @@ def tune_nprobe(
     """Smallest power-of-two nprobe reaching the target recall."""
     nprobe = 1
     while nprobe < max_nprobe:
-        found = np.stack(
-            [searcher.search(q, k, nprobe=nprobe, **search_kw)[0] for q in queries]
-        )
+        # -1 pads the answers of queries whose probed buckets hold < k vectors.
+        found = np.full((len(queries), k), -1, dtype=np.int64)
+        for i, q in enumerate(queries):
+            ids = searcher.search(q, k, nprobe=nprobe, **search_kw)[0]
+            found[i, : len(ids)] = ids
         if vecdata.recall_at_k(found, gt_ids) >= target_recall:
             return nprobe
         nprobe *= 2

@@ -40,7 +40,7 @@ def pruning_power_trace(
     total_values = n * dim
     powers = np.empty(len(queries))
     for qi, q in enumerate(queries):
-        ctx = pruner.prepare(q, coll)
+        ctx = pruner.prepare(q, coll.dim_means)
         heap = TopK(k)
         scanned = 0
         for block in coll.blocks:

@@ -117,23 +117,6 @@ def l2_accumulate(
         dists[positions] += np.einsum("db,db->b", diff, diff)
 
 
-def l1_accumulate(
-    block: np.ndarray,
-    query: np.ndarray,
-    dists: np.ndarray,
-    dim_idx: np.ndarray,
-    positions: np.ndarray | None = None,
-) -> None:
-    """L1 analogue of :func:`l2_accumulate`."""
-    qsub = query[dim_idx]
-    if positions is None:
-        dists += np.abs(block[dim_idx] - qsub[:, None]).sum(axis=0)
-    else:
-        dists[positions] += np.abs(
-            block[np.ix_(dim_idx, positions)] - qsub[:, None]
-        ).sum(axis=0)
-
-
 def l2_cumulative(block: np.ndarray, query: np.ndarray, dim_idx: np.ndarray) -> np.ndarray:
     """Prefix partial distances: out[j] = Σ_{i≤j} (v[dim_idx_i] − q[dim_idx_i])².
 
@@ -144,17 +127,6 @@ def l2_cumulative(block: np.ndarray, query: np.ndarray, dim_idx: np.ndarray) -> 
     """
     diff = block[dim_idx] - query[dim_idx, None]
     return np.cumsum(diff * diff, axis=0)
-
-
-# --------------------------------------------------------------------------
-# Horizontal partial kernel — for the N-ary Δd-stepped pruned search
-# (the paper's "SIMD-ADS" baseline): per vector, distance over a
-# contiguous dimension slice.
-# --------------------------------------------------------------------------
-
-def l2_slice_nary(vec: np.ndarray, query: np.ndarray, d0: int, d1: int) -> float:
-    diff = vec[d0:d1] - query[d0:d1]
-    return float(diff @ diff)
 
 
 METRICS_NARY = {"l2": l2_nary, "l1": l1_nary, "ip": ip_nary}

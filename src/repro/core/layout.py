@@ -133,12 +133,6 @@ def stack_pdx(data: np.ndarray, block_size: int = PDX_BLOCK_SIZE) -> np.ndarray:
     )
 
 
-def unstack_pdx(stacked: np.ndarray) -> np.ndarray:
-    """Invert :func:`stack_pdx` back to (N, D) row-major."""
-    k, d, b = stacked.shape
-    return np.ascontiguousarray(stacked.transpose(0, 2, 1).reshape(k * b, d))
-
-
 def to_dsm(data: np.ndarray) -> np.ndarray:
     """Fully decomposed layout: (D, N) C-contiguous (§7 'PDX vs DSM')."""
     return np.ascontiguousarray(data.T, dtype=np.float32)

@@ -21,13 +21,15 @@ exact pruner (PDX-BOND) yields exact results and an approximate one
 (ADSampling/BSA) keeps its own recall guarantees.
 
 ``timers`` (optional dict) accumulates wall-clock seconds into the
-Table 7 phases: ``"distance"`` (kernel accumulation) and ``"bounds"``
-(predicate evaluation).
+Table 7 phases through :func:`lap`: ``"distance"`` (kernel
+accumulation), ``"bounds"`` (predicate evaluation) and ``"query_prep"``
+(``pruner.prepare``). Queries are checked by :func:`check_query` first:
+a NaN/inf value or a wrong dimension raises ``ValueError``.
 """
 from __future__ import annotations
 
-import time
 from collections.abc import Iterable
+from time import perf_counter
 
 import numpy as np
 
@@ -37,7 +39,29 @@ from repro.core.pruners import Pruner, QueryContext
 from repro.core.topk import TopK
 
 
-def dimension_steps(dim: int, *, initial: int = 2, fixed: int | None = None) -> list[int]:
+def lap(timers: dict | None, key: str, t0: float) -> float:
+    """Add the seconds since ``t0`` to ``timers[key]`` and return now,
+    the start of the next phase. Without ``timers`` the clock is not
+    read and 0.0 is returned: the untimed path pays one call per phase."""
+    if timers is None:
+        return 0.0
+    now = perf_counter()
+    timers[key] = timers.get(key, 0.0) + now - t0
+    return now
+
+
+def check_query(query: np.ndarray, dim: int) -> None:
+    """Raise ``ValueError`` unless ``query`` is a finite vector of ``dim``
+    values."""
+    shape = np.shape(query)
+    if shape != (dim,):
+        got = shape[0] if len(shape) == 1 else shape
+        raise ValueError(f"query dimension {got} != collection dimension {dim}")
+    if not np.isfinite(query).all():
+        raise ValueError("query must be finite (found NaN or inf)")
+
+
+def dimension_steps(dim: int, *, fixed: int | None = None) -> list[int]:
     """Step sizes covering ``dim`` dimensions.
 
     Adaptive (default): 2, 4, 8, … doubling — Issue #1's fix. With
@@ -46,7 +70,7 @@ def dimension_steps(dim: int, *, initial: int = 2, fixed: int | None = None) -> 
     """
     steps: list[int] = []
     left = dim
-    step = fixed if fixed is not None else initial
+    step = fixed if fixed is not None else 2
     while left > 0:
         s = min(step, left)
         steps.append(s)
@@ -60,10 +84,9 @@ def _scan_block_full(
     block: PDXBlock, ctx: QueryContext, heap: TopK, timers: dict | None
 ) -> None:
     dists = np.zeros(block.n, dtype=np.float32)
-    t0 = time.perf_counter() if timers is not None else 0.0
+    t0 = perf_counter()
     l2_accumulate(block.data, ctx.query, dists, ctx.dim_order)
-    if timers is not None:
-        timers["distance"] = timers.get("distance", 0.0) + time.perf_counter() - t0
+    lap(timers, "distance", t0)
     heap.update(block.ids, dists)
 
 
@@ -83,42 +106,25 @@ def _scan_block_pruned(
     positions: np.ndarray | None = None  # None => WARMUP (no break-off)
     scanned = 0
     order = ctx.dim_order
+    t0 = perf_counter()
     for step in steps:
         dims = order[scanned : scanned + step]
         scanned += len(dims)
-        if timers is not None:
-            t0 = time.perf_counter()
         l2_accumulate(block.data, ctx.query, dists, dims, positions)
-        if timers is not None:
-            t1 = time.perf_counter()
-            timers["distance"] = timers.get("distance", 0.0) + t1 - t0
+        t0 = lap(timers, "distance", t0)
         if scanned >= block.dim:
             break  # full distances reached; no point testing the predicate
-        if timers is not None:
-            t1 = time.perf_counter()
         if positions is None:
-            pruned = pruner.prune_mask(dists, scanned, threshold, ctx)
-            alive &= ~pruned
-            n_alive = int(alive.sum())
-            if n_alive == 0:
-                if timers is not None:
-                    timers["bounds"] = (
-                        timers.get("bounds", 0.0) + time.perf_counter() - t1
-                    )
-                return
-            if n_alive <= selection_fraction * block.n:
+            alive &= ~pruner.prune_mask(dists, scanned, threshold, ctx)
+            # Also taken when every vector is pruned: positions is then empty.
+            if int(alive.sum()) <= selection_fraction * block.n:
                 positions = np.flatnonzero(alive)
         else:
             pruned = pruner.prune_mask(dists[positions], scanned, threshold, ctx)
             positions = positions[~pruned]
-            if len(positions) == 0:
-                if timers is not None:
-                    timers["bounds"] = (
-                        timers.get("bounds", 0.0) + time.perf_counter() - t1
-                    )
-                return
-        if timers is not None:
-            timers["bounds"] = timers.get("bounds", 0.0) + time.perf_counter() - t1
+        t0 = lap(timers, "bounds", t0)
+        if positions is not None and len(positions) == 0:
+            return
     survivors = positions if positions is not None else np.flatnonzero(alive)
     heap.update(block.ids[survivors], dists[survivors])
 
@@ -130,7 +136,6 @@ def search_blocks(
     heap: TopK,
     *,
     selection_fraction: float = 0.2,
-    initial_step: int = 2,
     fixed_step: int | None = None,
     timers: dict | None = None,
 ) -> TopK:
@@ -141,14 +146,13 @@ def search_blocks(
         if not np.isfinite(heap.threshold):
             _scan_block_full(block, ctx, heap, timers)  # START phase
             continue
-        steps = dimension_steps(block.dim, initial=initial_step, fixed=fixed_step)
         _scan_block_pruned(
             block,
             ctx,
             pruner,
             heap,
             selection_fraction=selection_fraction,
-            steps=steps,
+            steps=dimension_steps(block.dim, fixed=fixed_step),
             timers=timers,
         )
     return heap
@@ -161,7 +165,6 @@ def pdxearch(
     pruner: Pruner,
     *,
     selection_fraction: float = 0.2,
-    initial_step: int = 2,
     fixed_step: int | None = None,
     timers: dict | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -171,11 +174,10 @@ def pdxearch(
     the *original* space; the pruner transforms it (the collection must
     have been built over ``pruner.transform_data`` output).
     """
-    if timers is not None:
-        t0 = time.perf_counter()
-    ctx = pruner.prepare(query, coll)
-    if timers is not None:
-        timers["query_prep"] = timers.get("query_prep", 0.0) + time.perf_counter() - t0
+    check_query(query, coll.dim)
+    t0 = perf_counter()
+    ctx = pruner.prepare(query, coll.dim_means)
+    lap(timers, "query_prep", t0)
     heap = TopK(k)
     search_blocks(
         coll.blocks,
@@ -183,7 +185,6 @@ def pdxearch(
         pruner,
         heap,
         selection_fraction=selection_fraction,
-        initial_step=initial_step,
         fixed_step=fixed_step,
         timers=timers,
     )
@@ -199,22 +200,17 @@ def pdx_linear_scan(
     scanned with a single stacked-kernel call (Algorithm 1 over every
     block back-to-back); a ragged tail block is scanned separately.
     """
+    check_query(query, coll.dim)
     q = np.ascontiguousarray(query, dtype=np.float32)
     heap = TopK(k)
+    n_stacked = 0
     if coll.stacked is not None:
-        t0 = time.perf_counter() if timers is not None else 0.0
+        t0 = perf_counter()
         dists = l2_pdx(coll.stacked, q)
-        if timers is not None:
-            timers["distance"] = (
-                timers.get("distance", 0.0) + time.perf_counter() - t0
-            )
+        lap(timers, "distance", t0)
         heap.update(coll.stacked_ids, dists)
+        n_stacked = len(coll.stacked)
     ctx = QueryContext(query=q, dim_order=np.arange(coll.dim))
-    n_stacked = len(coll.stacked_ids) if coll.stacked_ids is not None else 0
-    covered = 0
-    for block in coll.blocks:
-        if covered < n_stacked:
-            covered += block.n
-            continue
+    for block in coll.blocks[n_stacked:]:  # the stacked blocks come first
         _scan_block_full(block, ctx, heap, timers)
     return heap.result()

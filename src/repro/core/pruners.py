@@ -4,8 +4,9 @@ Each pruner implements a small protocol:
 
 - ``transform_data(X)`` — collection preprocessing done once at build
   time (ADSampling's random rotation, BSA's PCA; identity for PDX-BOND).
-- ``prepare(query, coll)`` — per-query work (transform the query,
-  compute the query-aware dimension order). Returns a
+- ``prepare(query, dim_means)`` — per-query work (transform the query,
+  compute the query-aware dimension order from the collection's
+  per-dimension means, the only metadata a pruner reads). Returns a
   :class:`QueryContext`. This is the "query preprocessing" phase of the
   Table 7 breakdown.
 - ``prune_mask(partial, nscanned, threshold, ctx)`` — the pruning
@@ -24,7 +25,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.core.layout import PDXCollection
 from repro.core.projections import PCAProjection, random_orthogonal
 
 
@@ -48,7 +48,7 @@ class Pruner:
     def transform_data(self, data: np.ndarray) -> np.ndarray:
         return np.ascontiguousarray(data, dtype=np.float32)
 
-    def prepare(self, query: np.ndarray, coll: PDXCollection | None = None) -> QueryContext:
+    def prepare(self, query: np.ndarray, dim_means: np.ndarray | None = None) -> QueryContext:
         return QueryContext(
             query=np.ascontiguousarray(query, dtype=np.float32),
             dim_order=np.arange(self.dim),
@@ -97,7 +97,7 @@ class ADSampling(Pruner):
         out = data.astype(np.float32) @ self.rotation.T
         return np.ascontiguousarray(out, dtype=np.float32)
 
-    def prepare(self, query: np.ndarray, coll: PDXCollection | None = None) -> QueryContext:
+    def prepare(self, query: np.ndarray, dim_means: np.ndarray | None = None) -> QueryContext:
         q = (query.astype(np.float32) @ self.rotation.T).astype(np.float32)
         return QueryContext(query=q, dim_order=np.arange(self.dim))
 
@@ -183,7 +183,7 @@ class BSA(Pruner):
             self.fit(data)
         return self.pca.transform(data)
 
-    def prepare(self, query: np.ndarray, coll: PDXCollection | None = None) -> QueryContext:
+    def prepare(self, query: np.ndarray, dim_means: np.ndarray | None = None) -> QueryContext:
         assert self.pca is not None, "BSA.fit/transform_data must run first"
         q = self.pca.transform(query[None, :])[0]
         return QueryContext(query=q, dim_order=np.arange(self.dim))
@@ -226,7 +226,7 @@ class PDXBond(Pruner):
         self.order = order
         self.zone_size = zone_size or max(8, dim // 16)
 
-    def prepare(self, query: np.ndarray, coll: PDXCollection | None = None) -> QueryContext:
+    def prepare(self, query: np.ndarray, dim_means: np.ndarray | None = None) -> QueryContext:
         q = np.ascontiguousarray(query, dtype=np.float32)
         d = self.dim
         if self.order == "sequential":
@@ -234,11 +234,7 @@ class PDXBond(Pruner):
         elif self.order == "decreasing":
             idx = np.argsort(-np.abs(q), kind="stable")
         else:
-            means = (
-                coll.dim_means
-                if coll is not None
-                else np.zeros(d, dtype=np.float32)
-            )
+            means = dim_means if dim_means is not None else np.zeros(d, dtype=np.float32)
             gap = np.abs(q.astype(np.float64) - means.astype(np.float64))
             if self.order == "means":
                 idx = np.argsort(-gap, kind="stable")

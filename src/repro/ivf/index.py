@@ -10,24 +10,28 @@ Per-algorithm searchers wrap the shared index:
 - :class:`IVFPDXSearcher` — buckets stored as PDX blocks over the
   pruner's transformed space; search streams nprobe buckets' blocks
   through PDXearch with one shared heap (threshold propagates across
-  buckets). Centroids are also stored as PDX blocks, so "find nearest
-  buckets" uses the PDX kernel (Table 7's observation).
+  buckets). Centroids are stored as one PDX block, so "find nearest
+  buckets" is one PDX-kernel call (Table 7's observation).
 - :class:`IVFNarySearcher` — buckets stored row-major; either a plain
   linear scan per bucket (FAISS IVF_FLAT stand-in) or the Δd-stepped
   horizontal pruned search (SIMD-ADS / N-ary BSA stand-ins).
+
+Both share one prologue: the pruner's transform of data and centroids,
+the dimension means PDX-BOND orders by, and per query the input check,
+``prepare`` and the bucket ranking, timed as ``query_prep`` and
+``find_buckets``. Only the centroid-distance kernel differs.
 """
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
-from types import SimpleNamespace
+from time import perf_counter
 
 import numpy as np
 
-from repro.core.kernels import PDX_BLOCK_SIZE, l2_accumulate, l2_nary
-from repro.core.layout import PDXCollection, build_pdx
-from repro.core.pdxearch import search_blocks
-from repro.core.pruners import Pruner
+from repro.core.kernels import l2_nary, l2_pdx
+from repro.core.layout import PDXCollection, build_pdx, stack_pdx
+from repro.core.pdxearch import check_query, lap, search_blocks
+from repro.core.pruners import Pruner, QueryContext
 from repro.core.topk import TopK
 from repro.ivf.kmeans import kmeans
 from repro.search.horizontal import horizontal_pruned_search
@@ -56,43 +60,53 @@ def build_ivf(
     return IVFIndex(centroids=centroids, bucket_ids=buckets)
 
 
-def _pdx_all_distances(coll: PDXCollection, query: np.ndarray) -> np.ndarray:
-    """Full PDX-kernel distances over a small collection (centroids)."""
-    out = np.empty(coll.n, dtype=np.float32)
-    order = np.arange(coll.dim)
-    pos = 0
-    for block in coll.blocks:
-        d = np.zeros(block.n, dtype=np.float32)
-        l2_accumulate(block.data, query, d, order)
-        out[pos : pos + block.n] = d
-        pos += block.n
-    return out
+class _IVFSearcher:
+    """The prologue both searchers share (see the module docstring).
 
+    Subclasses lay out the transformed buckets and centroids
+    (``_store``) and compute query-to-centroid distances
+    (``_centroid_distances``).
+    """
 
-class IVFPDXSearcher:
-    """PDXearch over IVF buckets stored in the PDX layout."""
-
-    def __init__(
-        self,
-        index: IVFIndex,
-        data: np.ndarray,
-        pruner: Pruner,
-        *,
-        block_size: int = PDX_BLOCK_SIZE,
-    ):
+    def __init__(self, index: IVFIndex, data: np.ndarray, pruner: Pruner):
         self.index = index
         self.pruner = pruner
         tdata = pruner.transform_data(data)
-        self.tcentroids = pruner.transform_data(index.centroids)
-        self._cent_coll = build_pdx(self.tcentroids, block_size=block_size)
+        # Collection-level means for query-aware ordering (PDX-BOND).
+        self.dim_means = tdata.mean(axis=0).astype(np.float32)
+        self._store(tdata, pruner.transform_data(index.centroids))
+
+    def _store(self, tdata: np.ndarray, tcentroids: np.ndarray) -> None:
+        raise NotImplementedError
+
+    def _centroid_distances(self, query: np.ndarray) -> np.ndarray:
+        raise NotImplementedError
+
+    def _prologue(
+        self, query: np.ndarray, nprobe: int, timers: dict | None
+    ) -> tuple[QueryContext, np.ndarray]:
+        """Prepared query context and the ``nprobe`` nearest buckets."""
+        check_query(query, len(self.dim_means))
+        t0 = perf_counter()
+        ctx = self.pruner.prepare(query, self.dim_means)
+        t0 = lap(timers, "query_prep", t0)
+        cdists = self._centroid_distances(ctx.query)
+        probe = np.argsort(cdists, kind="stable")[:nprobe]
+        lap(timers, "find_buckets", t0)
+        return ctx, probe
+
+
+class IVFPDXSearcher(_IVFSearcher):
+    """PDXearch over IVF buckets stored in the PDX layout."""
+
+    def _store(self, tdata: np.ndarray, tcentroids: np.ndarray) -> None:
+        self.centroids = stack_pdx(tcentroids, len(tcentroids))  # one block
         self.buckets: list[PDXCollection] = [
-            build_pdx(tdata[ids], ids=ids, block_size=block_size)
-            for ids in index.bucket_ids
+            build_pdx(tdata[ids], ids=ids) for ids in self.index.bucket_ids
         ]
-        # Collection-level metadata for query-aware ordering (PDX-BOND).
-        self._meta = SimpleNamespace(
-            dim_means=tdata.mean(axis=0).astype(np.float32)
-        )
+
+    def _centroid_distances(self, query: np.ndarray) -> np.ndarray:
+        return l2_pdx(self.centroids, query)
 
     def search(
         self,
@@ -100,50 +114,27 @@ class IVFPDXSearcher:
         k: int,
         *,
         nprobe: int,
-        selection_fraction: float = 0.2,
         fixed_step: int | None = None,
         timers: dict | None = None,
     ) -> tuple[np.ndarray, np.ndarray]:
-        if timers is not None:
-            t0 = time.perf_counter()
-        ctx = self.pruner.prepare(query, self._meta)
-        if timers is not None:
-            t1 = time.perf_counter()
-            timers["query_prep"] = timers.get("query_prep", 0.0) + t1 - t0
-        cdists = _pdx_all_distances(self._cent_coll, ctx.query)
-        probe = np.argsort(cdists, kind="stable")[:nprobe]
-        if timers is not None:
-            timers["find_buckets"] = (
-                timers.get("find_buckets", 0.0) + time.perf_counter() - t1
-            )
+        ctx, probe = self._prologue(query, nprobe, timers)
         heap = TopK(k)
         blocks = (b for c in probe for b in self.buckets[c].blocks)
-        search_blocks(
-            blocks,
-            ctx,
-            self.pruner,
-            heap,
-            selection_fraction=selection_fraction,
-            fixed_step=fixed_step,
-            timers=timers,
-        )
+        search_blocks(blocks, ctx, self.pruner, heap, fixed_step=fixed_step, timers=timers)
         return heap.result()
 
 
-class IVFNarySearcher:
+class IVFNarySearcher(_IVFSearcher):
     """Horizontal-layout search over the same IVF buckets."""
 
-    def __init__(self, index: IVFIndex, data: np.ndarray, pruner: Pruner):
-        self.index = index
-        self.pruner = pruner
-        tdata = pruner.transform_data(data)
-        self.tcentroids = pruner.transform_data(index.centroids)
+    def _store(self, tdata: np.ndarray, tcentroids: np.ndarray) -> None:
+        self.centroids = tcentroids
         self.buckets = [
-            (np.ascontiguousarray(tdata[ids]), ids) for ids in index.bucket_ids
+            (np.ascontiguousarray(tdata[ids]), ids) for ids in self.index.bucket_ids
         ]
-        self._meta = SimpleNamespace(
-            dim_means=tdata.mean(axis=0).astype(np.float32)
-        )
+
+    def _centroid_distances(self, query: np.ndarray) -> np.ndarray:
+        return l2_nary(self.centroids, query)
 
     def search(
         self,
@@ -157,18 +148,7 @@ class IVFNarySearcher:
     ) -> tuple[np.ndarray, np.ndarray]:
         """``pruned=True`` → Δd-stepped pruning (SIMD-ADS shape);
         ``pruned=False`` → plain linear bucket scans (FAISS IVF_FLAT)."""
-        if timers is not None:
-            t0 = time.perf_counter()
-        ctx = self.pruner.prepare(query, self._meta)
-        if timers is not None:
-            t1 = time.perf_counter()
-            timers["query_prep"] = timers.get("query_prep", 0.0) + t1 - t0
-        cdists = l2_nary(self.tcentroids, ctx.query)
-        probe = np.argsort(cdists, kind="stable")[:nprobe]
-        if timers is not None:
-            timers["find_buckets"] = (
-                timers.get("find_buckets", 0.0) + time.perf_counter() - t1
-            )
+        ctx, probe = self._prologue(query, nprobe, timers)
         heap = TopK(k)
         for c in probe:
             bdata, bids = self.buckets[c]
@@ -179,12 +159,8 @@ class IVFNarySearcher:
                     bdata, bids, ctx, self.pruner, heap, delta_d=delta_d, timers=timers
                 )
             else:
-                if timers is not None:
-                    t2 = time.perf_counter()
+                t0 = perf_counter()
                 d = l2_nary(bdata, ctx.query)
-                if timers is not None:
-                    timers["distance"] = (
-                        timers.get("distance", 0.0) + time.perf_counter() - t2
-                    )
+                lap(timers, "distance", t0)
                 heap.update(bids, d)
         return heap.result()

@@ -7,7 +7,8 @@
 - :func:`pdx_linear_scan` (re-exported) — linear scan on PDX blocks.
 - :func:`pdx_bond_search` — PDX-BOND exact pruned search via PDXearch.
 
-All return ``(ids, dists)`` with squared-L2 distances ascending.
+All return ``(ids, dists)`` with squared-L2 distances ascending, ties
+broken by id (the :class:`~repro.core.topk.TopK` order).
 """
 from __future__ import annotations
 
@@ -17,14 +18,7 @@ from repro.core.kernels import METRICS_NARY, l2_dsm
 from repro.core.layout import PDXCollection, build_pdx
 from repro.core.pdxearch import pdx_linear_scan, pdxearch
 from repro.core.pruners import PDXBond
-
-
-def _topk(ids: np.ndarray, dists: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    k = min(k, len(dists))
-    part = np.argpartition(dists, k - 1)[:k]
-    order = np.lexsort((ids[part], dists[part].astype(np.float64)))
-    sel = part[order]
-    return ids[sel], dists[sel].astype(np.float64)
+from repro.core.topk import TopK
 
 
 def brute_force_nary(
@@ -34,7 +28,9 @@ def brute_force_nary(
     dists = METRICS_NARY[metric](data, query)
     if metric == "ip":
         dists = -dists  # smaller-is-better convention
-    return _topk(np.arange(len(data), dtype=np.int64), dists, k)
+    heap = TopK(k)
+    heap.update(np.arange(len(data)), dists)
+    return heap.result()
 
 
 def brute_force_dsm(
@@ -42,7 +38,9 @@ def brute_force_dsm(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Linear scan on the DSM layout ((D, N) dimension-major, §7)."""
     dists = l2_dsm(data_dm, query)
-    return _topk(np.arange(data_dm.shape[1], dtype=np.int64), dists, k)
+    heap = TopK(k)
+    heap.update(np.arange(data_dm.shape[1]), dists)
+    return heap.result()
 
 
 def pdx_bond_search(
@@ -51,7 +49,6 @@ def pdx_bond_search(
     k: int,
     *,
     order: str = "means",
-    selection_fraction: float = 0.2,
     timers: dict | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact PDX-BOND search over a PDX collection.
@@ -61,14 +58,7 @@ def pdx_bond_search(
     the block size when building ``coll``.
     """
     pruner = PDXBond(coll.dim, order=order)
-    return pdxearch(
-        coll,
-        query,
-        k,
-        pruner,
-        selection_fraction=selection_fraction,
-        timers=timers,
-    )
+    return pdxearch(coll, query, k, pruner, timers=timers)
 
 
 def build_exact_collection(

@@ -11,10 +11,11 @@ shape.
 """
 from __future__ import annotations
 
-import time
+from time import perf_counter
 
 import numpy as np
 
+from repro.core.pdxearch import lap
 from repro.core.pruners import Pruner
 from repro.core.topk import TopK
 
@@ -43,24 +44,18 @@ def horizontal_pruned_search(
         threshold = heap.threshold
         partial = 0.0
         pruned = False
+        t0 = perf_counter()
         for s in range(len(steps) - 1):
             d0, d1 = steps[s], steps[s + 1]
-            if timers is not None:
-                t0 = time.perf_counter()
             diff = vec[d0:d1] - q[d0:d1]
             partial += float(diff @ diff)
-            if timers is not None:
-                t1 = time.perf_counter()
-                timers["distance"] = timers.get("distance", 0.0) + t1 - t0
+            t0 = lap(timers, "distance", t0)
             if d1 >= d:
                 break
-            if timers is not None:
-                t1 = time.perf_counter()
             out = pruner.prune_mask(
                 np.array([partial], dtype=np.float32), d1, threshold, query_ctx
             )[0]
-            if timers is not None:
-                timers["bounds"] = timers.get("bounds", 0.0) + time.perf_counter() - t1
+            t0 = lap(timers, "bounds", t0)
             if out:
                 pruned = True
                 break

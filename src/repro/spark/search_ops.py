@@ -38,8 +38,6 @@ def knn(
     queries: np.ndarray,
     k: int,
     pruner: Pruner | None = None,
-    *,
-    selection_fraction: float = 0.2,
 ) -> DataFrame:
     """Top-k nearest vectors for each query over a PDX block DataFrame.
 
@@ -51,8 +49,9 @@ def knn(
     ``layout_ops.transform_vectors``).
 
     Raises ``ValueError`` on the driver for NaN/inf queries and for a
-    query dimension other than ``pruner.dim``; without a pruner, the
-    executors raise it for a dimension other than the table's.
+    query dimension other than ``pruner.dim``; the executors raise it
+    (``check_query`` in the search core) for a dimension other than the
+    table's.
     """
     q_arr = np.ascontiguousarray(np.atleast_2d(queries), dtype=np.float32)
     dim = q_arr.shape[1]
@@ -66,14 +65,12 @@ def knn(
         if not frames or len(q_arr) == 0:
             return
         data, ids = decode_blocks(pd.concat(frames, ignore_index=True))
-        if data.shape[1] != dim:
-            raise ValueError(f"query dimension {dim} != block table dimension {data.shape[1]}")
         coll = build_exact_collection(data, ids)
         found, dists = zip(
             *(
                 pdx_linear_scan(coll, q, k)
                 if pruner is None
-                else pdxearch(coll, q, k, pruner, selection_fraction=selection_fraction)
+                else pdxearch(coll, q, k, pruner)
                 for q in q_arr
             )
         )

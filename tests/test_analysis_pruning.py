@@ -18,7 +18,7 @@ def _literal_trace(data, queries, pruner, k=10, block_size=PDX_BLOCK_SIZE):
     n, dim = tdata.shape
     powers = []
     for q in queries:
-        ctx = pruner.prepare(q, coll)
+        ctx = pruner.prepare(q, coll.dim_means)
         heap = TopK(k)
         scanned = 0
         for block in coll.blocks:

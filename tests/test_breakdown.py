@@ -58,7 +58,7 @@ def test_bond_query_prep_cheapest_at_high_dim():
         best = float("inf")
         for _ in range(5):
             t0 = time.perf_counter()
-            searcher.pruner.prepare(q, searcher._meta)
+            searcher.pruner.prepare(q, searcher.dim_means)
             best = min(best, time.perf_counter() - t0)
         return best
 
@@ -73,3 +73,15 @@ def test_tune_nprobe_reaches_target():
     nprobe = tune_nprobe(s, ds.queries, gt_ids, 10, 0.9, max_nprobe=index.nlist)
     found = np.stack([s.search(q, 10, nprobe=nprobe)[0] for q in ds.queries])
     assert vecdata.recall_at_k(found, gt_ids) >= 0.9
+
+
+def test_tune_nprobe_with_buckets_smaller_than_k():
+    """Few probed buckets can hold fewer than k vectors; those answers
+    are short, and tuning must go on to a larger nprobe, not fail."""
+    ds = vecdata.generate("nytimes16", sf=0.0002, n_queries=5, seed=0)
+    gt_ids, _ = vecdata.ground_truth(ds.data, ds.queries, 10)
+    index = build_ivf(ds.data, nlist=len(ds.data) // 3, seed=0)
+    s = IVFPDXSearcher(index, ds.data, PDXBond(ds.dim))
+    assert len(s.search(ds.queries[0], 10, nprobe=1)[0]) < 10
+    nprobe = tune_nprobe(s, ds.queries, gt_ids, 10, 0.9, max_nprobe=index.nlist)
+    assert 1 < nprobe <= index.nlist

@@ -69,6 +69,19 @@ def test_brute_force_other_metrics(metric):
         assert len(got & want) >= 4
 
 
+def test_brute_force_ties_break_by_id():
+    """Rows tied at the k-th distance: the lowest ids win, as in ground
+    truth, on both layouts."""
+    rng = np.random.default_rng(0)
+    q = rng.standard_normal(8).astype(np.float32)
+    data = np.tile(q, (200, 1))
+    data[::3] += 1.0  # rows 0, 3, 6, ... differ; every other row equals q
+    gt_ids, _ = vecdata.ground_truth(data, q[None], 10)
+    np.testing.assert_array_equal(gt_ids[0], [1, 2, 4, 5, 7, 8, 10, 11, 13, 14])
+    np.testing.assert_array_equal(brute_force_nary(data, q, 10)[0], gt_ids[0])
+    np.testing.assert_array_equal(brute_force_dsm(to_dsm(data), q, 10)[0], gt_ids[0])
+
+
 def test_topk_k_exceeds_n():
     ds = vecdata.generate("nytimes16", sf=0.001)
     ids, _ = brute_force_nary(ds.data[:7], ds.queries[0], 20)

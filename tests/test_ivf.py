@@ -103,3 +103,15 @@ def test_explicit_nlist():
     index = build_ivf(ds.data, nlist=7, seed=1)
     assert index.nlist == 7
     assert index.centroids.shape == (7, 16)
+
+
+@pytest.mark.parametrize("searcher", [IVFPDXSearcher, IVFNarySearcher])
+def test_search_rejects_bad_queries(setup, searcher):
+    ds, _, index = setup
+    s = searcher(index, ds.data, PDXBond(ds.dim))
+    q = ds.queries[0].copy()
+    q[0] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        s.search(q, 10, nprobe=2)
+    with pytest.raises(ValueError, match=f"query dimension 3 .*dimension {ds.dim}"):
+        s.search(ds.queries[0][:3], 10, nprobe=2)

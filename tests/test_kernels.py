@@ -103,28 +103,6 @@ def test_l2_accumulate_positions_only_touches_positions(rng):
     assert np.all(dists[untouched] == 0)
 
 
-def test_l1_accumulate_matches_l1(rng):
-    dim = 40
-    data = random_collection(64, dim, seed=5)
-    block = build_pdx(data).blocks[0]
-    q = rng.standard_normal(dim).astype(np.float32)
-    dists = np.zeros(64, dtype=np.float32)
-    kernels.l1_accumulate(block.data, q, dists, np.arange(dim))
-    np.testing.assert_allclose(dists, _ref(data, q, "l1"), rtol=2e-3, atol=1e-3)
-
-
-def test_l1_accumulate_positions(rng):
-    dim = 12
-    data = random_collection(64, dim, seed=6)
-    block = build_pdx(data).blocks[0]
-    q = rng.standard_normal(dim).astype(np.float32)
-    dists = np.zeros(64, dtype=np.float32)
-    pos = np.array([0, 63], dtype=np.int64)
-    kernels.l1_accumulate(block.data, q, dists, np.arange(dim), pos)
-    ref = _ref(data, q, "l1")
-    np.testing.assert_allclose(dists[pos], ref[pos], rtol=2e-3, atol=1e-3)
-
-
 def test_l2_cumulative_last_row_is_full_distance(rng):
     dim = 30
     data = random_collection(64, dim, seed=7)
@@ -145,16 +123,6 @@ def test_l2_cumulative_respects_dim_order(rng):
     cum = kernels.l2_cumulative(block.data, q, order)
     first = (block.data[order[0]] - q[order[0]]) ** 2
     np.testing.assert_allclose(cum[0], first, rtol=1e-5)
-
-
-def test_l2_slice_nary(rng):
-    dim = 64
-    data = random_collection(4, dim, seed=9)
-    q = rng.standard_normal(dim).astype(np.float32)
-    whole = sum(
-        kernels.l2_slice_nary(data[0], q, d0, d0 + 16) for d0 in range(0, 64, 16)
-    )
-    np.testing.assert_allclose(whole, _ref(data[:1], q, "l2")[0], rtol=2e-3)
 
 
 def test_pdx_block_size_constant():

@@ -157,3 +157,27 @@ def test_k_larger_than_collection(glove):
     ids, dists = pdx_linear_scan(coll, ds.queries[0], 50)
     assert len(ids) == 30
     assert np.all(np.diff(dists) >= 0)
+
+
+# ------------------------------------------------------------- bad queries
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_rejects_non_finite_query(glove, bad):
+    ds, _ = glove
+    coll = build_pdx(ds.data)
+    q = ds.queries[0].copy()
+    q[3] = bad
+    with pytest.raises(ValueError, match="finite"):
+        pdxearch(coll, q, 10, PDXBond(ds.dim))
+    with pytest.raises(ValueError, match="finite"):
+        pdx_linear_scan(coll, q, 10)
+
+
+def test_rejects_wrong_query_dimension(glove):
+    ds, _ = glove
+    coll = build_pdx(ds.data)
+    q = ds.queries[0][:3]
+    with pytest.raises(ValueError, match=f"query dimension 3 .*dimension {ds.dim}"):
+        pdxearch(coll, q, 10, PDXBond(ds.dim))
+    with pytest.raises(ValueError, match=f"query dimension 3 .*dimension {ds.dim}"):
+        pdx_linear_scan(coll, q, 10)

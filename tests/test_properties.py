@@ -3,9 +3,16 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import vecdata
 from repro.core import kernels, layout
 from repro.core.pdxearch import dimension_steps
 from repro.core.topk import TopK
+from repro.search.exact import (
+    brute_force_dsm,
+    brute_force_nary,
+    pdx_bond_search,
+    pdx_linear_scan,
+)
 
 shapes = st.tuples(st.integers(1, 200), st.integers(1, 40))
 
@@ -78,3 +85,33 @@ def test_accumulate_order_invariance(d, seed):
     got = np.zeros(32, dtype=np.float32)
     kernels.l2_accumulate(block.data, q, got, perm)
     np.testing.assert_allclose(got, ref, rtol=1e-3, atol=1e-3)
+
+
+@given(
+    st.integers(1, 40),  # n
+    st.integers(1, 6),  # D
+    st.integers(1, 50),  # k, often > n
+    st.sampled_from([4, 64]),  # block size: several blocks, or n < B
+    st.booleans(),  # every vector a duplicate of the first
+    st.integers(0, 2**31 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_exact_searches_equal_ground_truth_at_edges(n, d, k, block, dup, seed):
+    """Small-integer coordinates keep every distance exact in float32 in
+    any dimension order, so ties are true ties; every exact search must
+    then return ground truth's ids, ties broken by id."""
+    rng = np.random.default_rng(seed)
+    data = rng.integers(-2, 3, size=(n, d)).astype(np.float32)
+    if dup:
+        data[:] = data[0]
+    q = rng.integers(-2, 3, size=d).astype(np.float32)
+    gt_ids, gt_d = vecdata.ground_truth(data, q[None], k)
+    coll = layout.build_pdx(data, block_size=block)
+    for ids, dists in (
+        pdx_bond_search(coll, q, k),
+        pdx_linear_scan(coll, q, k),
+        brute_force_nary(data, q, k),
+        brute_force_dsm(layout.to_dsm(data), q, k),
+    ):
+        np.testing.assert_array_equal(ids, gt_ids[0])
+        np.testing.assert_array_equal(dists, gt_d[0])

@@ -125,7 +125,7 @@ def test_bsa_higher_multiplier_prunes_less(data):
 def test_bond_order_is_permutation(order, data):
     coll = build_pdx(data)
     bond = PDXBond(32, order=order)
-    ctx = bond.prepare(data[0], coll)
+    ctx = bond.prepare(data[0], coll.dim_means)
     np.testing.assert_array_equal(np.sort(ctx.dim_order), np.arange(32))
 
 
@@ -144,7 +144,7 @@ def test_bond_decreasing_order(data):
 def test_bond_means_order_ranks_by_gap(data):
     coll = build_pdx(data)
     bond = PDXBond(32, order="means")
-    ctx = bond.prepare(data[0], coll)
+    ctx = bond.prepare(data[0], coll.dim_means)
     gap = np.abs(data[0].astype(np.float64) - coll.dim_means)
     assert np.all(np.diff(gap[ctx.dim_order]) <= 1e-6)
 
@@ -153,7 +153,7 @@ def test_bond_zones_are_contiguous_runs():
     ds = generate("glove50", sf=0.0005)
     coll = build_pdx(ds.data)
     bond = PDXBond(50, order="zones", zone_size=10)
-    ctx = bond.prepare(ds.queries[0], coll)
+    ctx = bond.prepare(ds.queries[0], coll.dim_means)
     order = ctx.dim_order
     # every aligned zone of 10 dims must appear as one contiguous run
     for z0 in range(0, 50, 10):
@@ -164,7 +164,7 @@ def test_bond_zones_are_contiguous_runs():
 
 def test_bond_exact_predicate_is_partial_gt_threshold(data):
     bond = PDXBond(32)
-    ctx = bond.prepare(data[0], build_pdx(data))
+    ctx = bond.prepare(data[0], build_pdx(data).dim_means)
     partial = np.array([0.5, 1.5, 2.5], dtype=np.float32)
     np.testing.assert_array_equal(
         bond.prune_mask(partial, 3, 1.5, ctx), [False, False, True]
