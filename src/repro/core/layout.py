@@ -68,7 +68,8 @@ def build_pdx(
     """Partition ``data`` (N, D) row-major into PDX blocks.
 
     Vectors keep their input order; the last block may be ragged. ``ids``
-    default to 0…N−1 (positions in ``data``).
+    default to 0…N−1 (positions in ``data``). Zero rows give a collection
+    with no blocks and zero means (an empty IVF bucket).
     """
     n, d = data.shape
     if ids is None:
@@ -76,6 +77,10 @@ def build_pdx(
     ids = np.asarray(ids, dtype=np.int64)
     if ids.shape != (n,):
         raise ValueError(f"ids shape {ids.shape} != ({n},)")
+    if n == 0:
+        return PDXCollection(
+            blocks=[], dim=d, block_size=block_size, dim_means=np.zeros(d, np.float32)
+        )
     blocks: list[PDXBlock] = []
     n_full = (n // block_size) * block_size
     stacked = stacked_ids = None

@@ -117,7 +117,7 @@ def _scan_block_pruned(
         if positions is None:
             alive &= ~pruner.prune_mask(dists, scanned, threshold, ctx)
             # Also taken when every vector is pruned: positions is then empty.
-            if int(alive.sum()) <= selection_fraction * block.n:
+            if np.count_nonzero(alive) <= selection_fraction * block.n:
                 positions = np.flatnonzero(alive)
         else:
             pruned = pruner.prune_mask(dists[positions], scanned, threshold, ctx)
@@ -142,6 +142,7 @@ def search_blocks(
     """Run PDXearch over a block stream, threshold propagating block to
     block through ``heap``. The stream may span multiple collections
     (IVF buckets in centroid-rank order)."""
+    steps = dimension_steps(len(ctx.dim_order), fixed=fixed_step)
     for block in blocks:
         if not np.isfinite(heap.threshold):
             _scan_block_full(block, ctx, heap, timers)  # START phase
@@ -152,7 +153,7 @@ def search_blocks(
             pruner,
             heap,
             selection_fraction=selection_fraction,
-            steps=dimension_steps(block.dim, fixed=fixed_step),
+            steps=steps,
             timers=timers,
         )
     return heap

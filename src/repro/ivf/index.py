@@ -7,11 +7,12 @@ as in the paper's setup ("all competitors share the same IVF index").
 
 Per-algorithm searchers wrap the shared index:
 
-- :class:`IVFPDXSearcher` — buckets stored as PDX blocks over the
-  pruner's transformed space; search streams nprobe buckets' blocks
-  through PDXearch with one shared heap (threshold propagates across
-  buckets). Centroids are stored as one PDX block, so "find nearest
-  buckets" is one PDX-kernel call (Table 7's observation).
+- :class:`IVFPDXSearcher` — one PDX block per bucket, over the
+  pruner's transformed space; search streams the nprobe buckets through
+  PDXearch with one shared heap, so START scans the nearest bucket whole
+  and the threshold then tightens bucket to bucket. Centroids are stored
+  as one PDX block, so "find nearest buckets" is one PDX-kernel call
+  (Table 7's observation).
 - :class:`IVFNarySearcher` — buckets stored row-major; either a plain
   linear scan per bucket (FAISS IVF_FLAT stand-in) or the Δd-stepped
   horizontal pruned search (SIMD-ADS / N-ary BSA stand-ins).
@@ -102,7 +103,8 @@ class IVFPDXSearcher(_IVFSearcher):
     def _store(self, tdata: np.ndarray, tcentroids: np.ndarray) -> None:
         self.centroids = stack_pdx(tcentroids, len(tcentroids))  # one block
         self.buckets: list[PDXCollection] = [
-            build_pdx(tdata[ids], ids=ids) for ids in self.index.bucket_ids
+            build_pdx(tdata[ids], ids=ids, block_size=len(ids))
+            for ids in self.index.bucket_ids
         ]
 
     def _centroid_distances(self, query: np.ndarray) -> np.ndarray:

@@ -15,6 +15,7 @@ into Spark DataFrames (wide form feeds the DuckDB oracle at small D).
 """
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -135,12 +136,14 @@ def generate(
     ``sf`` scales the paper's collection size (sf=1.0 would be the full
     paper size; the default 0.002 gives a few thousand vectors). Queries
     are drawn from the same distribution but are held out of the
-    collection. Deterministic in ``(name, sf, seed)``.
+    collection. Deterministic in ``(name, sf, seed)``, in every process:
+    the seed is a digest of the name, not its ``hash()``, which changes
+    with ``PYTHONHASHSEED``.
     """
     spec = DATASETS[name]
     n = max(256, int(spec.paper_n * sf))
     q = n_queries if n_queries is not None else max(10, min(100, int(spec.paper_queries * sf)))
-    rng = np.random.default_rng(abs(hash((name, seed))) % (2**32))
+    rng = np.random.default_rng([zlib.crc32(name.encode()), seed])
     all_rows = _sample(spec, n + q, rng)
     return VectorDataset(spec=spec, data=all_rows[:n], queries=all_rows[n:])
 

@@ -59,6 +59,17 @@ def test_table7_job():
     assert (frame[("measured", "query_time_ms")] > 0).all()
 
 
+def test_ivf_crossover_job():
+    import ivf_crossover
+
+    frame = ivf_crossover.run_scale(sf=0.0005, nprobe=4, n_queries=5)
+    assert len(frame) == 6
+    assert (frame["ms/query"] > 0).all()
+    # the exact algorithms over the same buckets find the same neighbours
+    exact = frame["recall@10"].iloc[[0, 4, 5]]
+    assert (exact == exact.iloc[0]).all()
+
+
 def test_spark_knn_job(spark):
     import spark_knn
 
